@@ -36,7 +36,9 @@ import (
 
 	"repro/internal/auth"
 	"repro/internal/cluster"
+	"repro/internal/denote"
 	"repro/internal/ingest"
+	"repro/internal/logs"
 	"repro/internal/provclient"
 	"repro/internal/provd"
 	"repro/internal/replica"
@@ -474,9 +476,9 @@ func run(sc *scenario.Scenario, opts Options) (*Result, error) {
 		}
 	}
 	// Definition-3 audit parity: every claim gets one verdict,
-	// everywhere.
+	// everywhere, and it is the reference procedure's.
 	for ci, claim := range sc.Claims {
-		want := control.AuditTerm(claim.Term, claim.Prov) == nil
+		want := referenceVerdict(control, claim)
 		if got := leader.st.AuditTerm(claim.Term, claim.Prov) == nil; got != want {
 			return res, fmt.Errorf("claim %d (%s): leader verdict %v, control %v", ci, claim.Term, got, want)
 		}
@@ -535,4 +537,13 @@ func replicaURLs(rs []*replicaNode) []string {
 		out[i] = r.http.URL
 	}
 	return out
+}
+
+// referenceVerdict is the audit-parity oracle: ⟦V:κ⟧ ≼ φ decided by
+// logs.Le on the control store's global spine. Every store answers
+// AuditTerm through the same indexed search, so taking the expected
+// verdict from the control's AuditTerm would compare that search with
+// itself; Le is the independent reference it must agree with.
+func referenceVerdict(control *store.Store, c scenario.Claim) bool {
+	return logs.Le(denote.DenoteTerm(c.Term, c.Prov), control.GlobalLog())
 }

@@ -299,7 +299,7 @@ func runPartitioned(sc *scenario.Scenario, opts Options) (*Result, error) {
 	// leader must match the control verdict bit for bit. Claims naming
 	// a moved principal are skipped (split log until shards migrate).
 	for ci, claim := range sc.Claims {
-		wantV := control.AuditTerm(claim.Term, claim.Prov) == nil
+		wantV := referenceVerdict(control, claim)
 		if len(claim.Prov) == 0 {
 			// Prov-less claims depend on no principal's log: every
 			// partition must return the control verdict.

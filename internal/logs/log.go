@@ -12,7 +12,11 @@
 //
 // The package also provides the information order φ ≼ ψ ("ψ tells us at
 // least as much about the past as φ"), defined by the inference rules
-// Log-Nil, Log-Pre1, Log-Pre2, Log-Comp1 and Log-Comp2.
+// Log-Nil, Log-Pre1, Log-Pre2, Log-Comp1 and Log-Comp2. Le decides it in
+// O(|ψ|) per left prefix, before backtracking. It serves tree-shaped
+// logs (the runtime's and the monitor's) and is the reference for the
+// durable store's audit, which decides the same order on its global
+// spine through per-principal indexes instead (internal/store).
 package logs
 
 import (
@@ -184,25 +188,24 @@ func Nil() Log { return Empty{} }
 func Prefix(a Action, rest Log) Log { return &Pre{Act: a, Rest: rest} }
 
 // Compose folds logs with |, dropping ∅ units. Compose() is ∅.
+// The result nests to the right: Compose(a, b, c) is a|(b|c).
 func Compose(ls ...Log) Log {
-	var parts []Log
-	for _, l := range ls {
-		if _, ok := l.(Empty); ok {
-			continue
+	var out Log = Empty{}
+	for i := len(ls) - 1; i >= 0; i-- {
+		switch {
+		case isEmpty(ls[i]):
+		case isEmpty(out):
+			out = ls[i]
+		default:
+			out = &Comp{L: ls[i], R: out}
 		}
-		parts = append(parts, l)
-	}
-	switch len(parts) {
-	case 0:
-		return Empty{}
-	case 1:
-		return parts[0]
-	}
-	out := parts[len(parts)-1]
-	for i := len(parts) - 2; i >= 0; i-- {
-		out = &Comp{L: parts[i], R: out}
 	}
 	return out
+}
+
+func isEmpty(l Log) bool {
+	_, ok := l.(Empty)
+	return ok
 }
 
 // Subst is a substitution of terms (values or ?) for log variables.

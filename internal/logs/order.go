@@ -22,6 +22,11 @@ import "fmt"
 // unification rather than guessed) or skip into the right log (Log-Pre2,
 // Log-Comp2). Every recursive call consumes left or right structure, so
 // the search terminates.
+//
+// Cost. The search is O(|ψ|) per left prefix, times the backtracking a
+// failed match forces. Log-Pre2 skips are a loop, not recursion, so stack
+// depth is bounded by the size of φ and the Comp nesting of ψ, never by
+// the length of a spine: a monitored run's log can be arbitrarily long.
 func Le(phi, psi Log) bool {
 	return le(phi, psi)
 }
@@ -43,46 +48,52 @@ func le(phi, psi Log) bool {
 
 // lePre handles a left prefix α;φ against an arbitrary right log.
 func lePre(l *Pre, psi Log) bool {
-	switch r := psi.(type) {
-	case Empty:
-		return false // no rule concludes α;φ ≼ ∅
-	case *Comp:
-		// Log-Comp2 (both orientations).
-		return lePre(l, r.L) || lePre(l, r.R)
-	case *Pre:
-		// Log-Pre1: match the two actions.
-		if sigmaL, sigmaR, ok := matchActions(l.Act, r.Act); ok {
-			if le(ApplySubst(l.Rest, sigmaL), ApplySubst(r.Rest, sigmaR)) {
+	for {
+		switch r := psi.(type) {
+		case Empty:
+			return false // no rule concludes α;φ ≼ ∅
+		case *Comp:
+			// Log-Comp2 (both orientations).
+			if lePre(l, r.L) {
 				return true
 			}
+			psi = r.R
+		case *Pre:
+			// Log-Pre1: match the two actions. σ' is empty (see
+			// MatchAction), so ψ's continuation is used as is.
+			if sigma, ok := MatchAction(l.Act, r.Act); ok && le(ApplySubst(l.Rest, sigma), r.Rest) {
+				return true
+			}
+			// Log-Pre2: skip the right action.
+			psi = r.Rest
+		default:
+			panic(fmt.Sprintf("logs: lePre: unknown log %T", psi))
 		}
-		// Log-Pre2: skip the right action.
-		return lePre(l, r.Rest)
-	default:
-		panic(fmt.Sprintf("logs: lePre: unknown log %T", psi))
 	}
 }
 
-// matchActions implements α ≾ α' of Log-Pre1: it returns σL, the bindings
-// for the left action's variables witnessing α' = α σL. The instantiation
+// MatchAction implements α ≾ α' of Log-Pre1: it returns σ, the bindings
+// for the left action's variables witnessing α' = α σ. The instantiation
 // is strictly one-way — a substitution replaces variables with values — so
 // right-side variables are rigid: a right variable matches only the
 // identical left variable (up to the shared name; the paper identifies
 // logs up to alpha-conversion, and our denotation uses a deterministic
-// fresh-variable discipline so matching by name is sound). σR is returned
-// for symmetry of the call site and is currently always empty.
-func matchActions(al, ar Action) (Subst, Subst, bool) {
+// fresh-variable discipline so matching by name is sound). The right
+// action's substitution σ' is therefore always empty.
+func MatchAction(al, ar Action) (Subst, bool) {
 	if al.Principal != ar.Principal || al.Kind != ar.Kind {
-		return nil, nil, false
+		return nil, false
 	}
-	sigmaL := Subst{}
-	if !instantiate(al.A, ar.A, sigmaL) {
-		return nil, nil, false
+	// Ground positions first: they reject most candidates without
+	// allocating σ.
+	if (al.A.Kind != TVar && al.A != ar.A) || (al.B.Kind != TVar && al.B != ar.B) {
+		return nil, false
 	}
-	if !instantiate(al.B, ar.B, sigmaL) {
-		return nil, nil, false
+	sigma := Subst{}
+	if !instantiate(al.A, ar.A, sigma) || !instantiate(al.B, ar.B, sigma) {
+		return nil, false
 	}
-	return sigmaL, Subst{}, true
+	return sigma, true
 }
 
 // instantiate checks that tr is tl under some extension of σL (left

@@ -1,12 +1,9 @@
 package store
 
 import (
-	"fmt"
 	"sort"
 
-	"repro/internal/denote"
 	"repro/internal/logs"
-	"repro/internal/syntax"
 	"repro/internal/wire"
 )
 
@@ -96,13 +93,15 @@ func (s *Store) ByKindTail(principal string, k logs.ActKind, n int) []wire.Recor
 	return s.ScanShardTail(principal, Filter{Kind: k, KindSet: true}, 0, n)
 }
 
-// globalSnapshot returns the merged cross-shard view (records oldest
-// first, plus the log spine), folding only the records appended since
-// the last call into the cached merge. The zero-append case — an audit
-// service over a quiescent or restarted store — is O(1) after the first
-// merge; a mixed append/audit workload pays O(new records · log(new)),
-// never a from-scratch O(total log) rebuild. Callers must not mutate
-// the returned slice.
+// globalSnapshot returns the merged cross-shard view — records oldest
+// first, the log spine, and its hole-free ceiling upTo: every record in
+// the view has a sequence number below upTo, and every number below
+// upTo is either in the view or permanently dead. It folds only the
+// records appended since the last call into the cached merge. The
+// zero-append case — an audit service over a quiescent or restarted
+// store — is O(1) after the first merge; a mixed append/audit workload
+// pays O(new records · log(new)), never a from-scratch O(total log)
+// rebuild. Callers must not mutate the returned slice.
 //
 // Why the increment is sound: while every stripe is held, no append can
 // be mid-flight (sequence numbers are assigned under the acting
@@ -116,12 +115,12 @@ func (s *Store) ByKindTail(principal string, k logs.ActKind, n int) []wire.Recor
 // numbers — an append that assigned a number and then failed its disk
 // write — is permanently dead for the same reason, so the merge skips
 // it exactly as the old full rebuild did.)
-func (s *Store) globalSnapshot() ([]wire.Record, logs.Log) {
+func (s *Store) globalSnapshot() ([]wire.Record, logs.Log, uint64) {
 	s.global.mu.Lock()
 	defer s.global.mu.Unlock()
 	g := &s.global
 	if s.nextSeq.Load() == g.upTo && g.log != nil {
-		return g.recs, g.log // quiescent store: no stripe is touched
+		return g.recs, g.log, g.upTo // quiescent store: no stripe is touched
 	}
 	if g.b == nil {
 		g.b = logs.NewBuilder()
@@ -157,7 +156,7 @@ func (s *Store) globalSnapshot() ([]wire.Record, logs.Log) {
 	}
 	g.log = g.b.Log()
 	g.upTo = target
-	return g.recs, g.log
+	return g.recs, g.log, g.upTo
 }
 
 // GlobalRecords merges every shard on sequence number, oldest first:
@@ -194,24 +193,6 @@ func (s *Store) ShardLog(principal string) logs.Log {
 // stored actions in sequence order, most recent first — exactly the log
 // a runtime.Net mirroring into this store holds in memory.
 func (s *Store) GlobalLog() logs.Log {
-	_, l := s.globalSnapshot()
+	_, l, _ := s.globalSnapshot()
 	return l
-}
-
-// AuditTerm runs the Definition-3 correctness check for one claimed
-// value V:κ against the recovered global log: ⟦V:κ⟧ ≼ φ. V may be the
-// unknown-channel symbol ? (logs.UnknownT).
-func (s *Store) AuditTerm(t logs.Term, k syntax.Prov) error {
-	s.metrics.Audits.Add(1)
-	if !logs.Le(denote.DenoteTerm(t, k), s.GlobalLog()) {
-		s.metrics.AuditFailures.Add(1)
-		return fmt.Errorf("store: value %s:(%s) has provenance not justified by the stored log", t, k)
-	}
-	return nil
-}
-
-// Audit checks an annotated value against the recovered global log
-// (Definition 3), mirroring runtime.Net.AuditValue on the durable state.
-func (s *Store) Audit(v syntax.AnnotatedValue) error {
-	return s.AuditTerm(logs.NameT(v.V.Name), v.K)
 }

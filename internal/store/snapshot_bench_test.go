@@ -48,7 +48,7 @@ func BenchmarkGlobalSnapshotAfterAppend(b *testing.B) {
 						s.global.log = nil
 						b.StartTimer()
 					}
-					if _, l := s.globalSnapshot(); l == nil {
+					if _, l, _ := s.globalSnapshot(); l == nil {
 						b.Fatal("nil snapshot")
 					}
 				}

@@ -34,7 +34,7 @@ func fullMerge(s *Store) ([]wire.Record, logs.Log) {
 
 func checkSnapshotMatchesRebuild(t *testing.T, s *Store) {
 	t.Helper()
-	gotRecs, gotLog := s.globalSnapshot()
+	gotRecs, gotLog, _ := s.globalSnapshot()
 	wantRecs, wantLog := fullMerge(s)
 	if len(gotRecs) != len(wantRecs) || (len(wantRecs) > 0 && !reflect.DeepEqual(gotRecs, wantRecs)) {
 		t.Fatalf("incremental snapshot has %d records, full rebuild %d (or contents differ)", len(gotRecs), len(wantRecs))
@@ -162,7 +162,7 @@ func TestSnapshotIncrementalConcurrent(t *testing.T) {
 					return
 				default:
 				}
-				recs, log := s.globalSnapshot()
+				recs, log, _ := s.globalSnapshot()
 				for i := 1; i < len(recs); i++ {
 					if recs[i-1].Seq >= recs[i].Seq {
 						t.Errorf("snapshot seqs not strictly increasing at %d: %d then %d", i, recs[i-1].Seq, recs[i].Seq)

@@ -19,6 +19,14 @@
 // in parallel while each shard's segment file sees writes in order.
 // Reads snapshot under the same stripes.
 //
+// Audits. A Definition-3 audit ⟦V:κ⟧ ≼ φ is decided against the global
+// spine without walking it (audit.go): Log-Pre1 only matches actions by
+// the same principal and of the same kind, so the search jumps through
+// the claimed principals' per-kind indexes below the snapshot's
+// ceiling. Its cost is O(claim size × those principals' same-kind
+// records below the snapshot), where logs.Le on the spine costs
+// O(log); the verdict is the same.
+//
 // Durability. Each record frame is length-prefixed and CRC32C-checksummed;
 // recovery scans segments, truncates a torn tail (the expected state
 // after a crash mid-append), deduplicates on sequence number (possible
