@@ -26,7 +26,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 
 	"repro/internal/logs"
@@ -187,18 +186,46 @@ func (f *Fleet) runTail(m *Map, q query.Query) (query.Page, error) {
 		}(i, l)
 	}
 	wg.Wait()
-	var merged []wire.Record
-	for _, r := range out {
+	pages := make([][]wire.Record, len(out))
+	for i, r := range out {
 		if r.err != nil {
 			return query.Page{}, leaderErr(r.err)
 		}
-		merged = append(merged, r.recs...)
+		pages[i] = r.recs
 	}
-	sort.SliceStable(merged, func(i, j int) bool { return merged[i].Seq < merged[j].Seq })
-	if len(merged) > limit {
-		merged = merged[len(merged)-limit:]
-	}
+	merged := mergeTail(pages, limit)
 	return query.Page{Records: merged, Snapshot: snapOf(merged)}, nil
+}
+
+// mergeTail returns the newest limit records of the ascending per-leader
+// pages, ascending in (seq, leader index) order. It walks newest first,
+// taking each leader's page from its end and, on equal sequence numbers,
+// the higher leader index first, so it stops after limit records without
+// sorting the union.
+func mergeTail(pages [][]wire.Record, limit int) []wire.Record {
+	total := 0
+	for _, p := range pages {
+		total += len(p)
+	}
+	out := make([]wire.Record, 0, min(total, limit))
+	for len(out) < limit {
+		best := -1
+		for i, p := range pages {
+			if len(p) > 0 && (best == -1 || p[len(p)-1].Seq >= pages[best][len(pages[best])-1].Seq) {
+				best = i
+			}
+		}
+		if best == -1 {
+			break // every page drained
+		}
+		p := pages[best]
+		out = append(out, p[len(p)-1])
+		pages[best] = p[:len(p)-1]
+	}
+	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
+		out[i], out[j] = out[j], out[i]
+	}
+	return out
 }
 
 // sources builds one merge source per leader, capturing the query's

@@ -54,7 +54,9 @@ func benchStore(b *testing.B, base int) *store.Store {
 // records through the engine (index pushdown, bounded copies) against
 // the pre-engine shape — copy the merged global view and filter it.
 // The engine's ns/op stays flat as the store grows; the full scan grows
-// linearly.
+// linearly. The shards8 cases page 256 records whose matches spread
+// over 8 shards, where a page's allocations must not grow with the
+// shard count.
 func BenchmarkStoreQueryFiltered(b *testing.B) {
 	for _, base := range []int{10000, 100000} {
 		st := benchStore(b, base)
@@ -85,6 +87,50 @@ func BenchmarkStoreQueryFiltered(b *testing.B) {
 			}
 		})
 	}
+	// A channel-filtered page of 256 whose matches spread over 8
+	// shards: the global filtered plan, newest page and first page.
+	e := NewEngine(shardedStore(b), nil)
+	for _, tail := range []bool{true, false} {
+		name := "engine/shards8/fwd"
+		if tail {
+			name = "engine/shards8/tail"
+		}
+		q := Query{Channel: "c0", Tail: tail, Limit: 256}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				page, err := e.Run(q)
+				if err != nil || len(page.Records) != 256 || page.Cursor == "" {
+					b.Fatalf("page %d records, err %v", len(page.Records), err)
+				}
+			}
+		})
+	}
+}
+
+// shardedStore builds a store of 8 principals × 4 channels × 256
+// records, interleaved so every channel's records spread evenly across
+// all 8 shards in sequence order.
+func shardedStore(b *testing.B) *store.Store {
+	b.Helper()
+	st, err := store.Open(b.TempDir(), store.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { st.Close() })
+	batch := make([]logs.Action, 0, 8*4)
+	for r := 0; r < 256; r++ {
+		batch = batch[:0]
+		for p := 0; p < 8; p++ {
+			for c := 0; c < 4; c++ {
+				batch = append(batch, logs.SndAct(fmt.Sprintf("p%d", p), logs.NameT(fmt.Sprintf("c%d", c)), logs.NameT("v")))
+			}
+		}
+		if _, err := st.AppendBatch(batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return st
 }
 
 // BenchmarkQueryPaginate: one mid-walk page of 256 records out of a

@@ -1,10 +1,6 @@
 package query
 
-import (
-	"sort"
-
-	"repro/internal/wire"
-)
+import "repro/internal/wire"
 
 // Run executes one page of a query: compile the filters to a plan,
 // resolve the cursor, fetch one bounded batch through the store's scan
@@ -90,49 +86,25 @@ func (e *Engine) Run(q Query) (Page, error) {
 }
 
 // fetchFwd returns up to max records matching q with sequence numbers
-// in [from, ceil), ascending. Single-shard and unfiltered-global plans
-// are one scan; a filtered global query merges bounded per-shard
-// pushdown scans, so its cost is proportional to the page and the
-// shard *count*, never to any shard's size.
+// in [from, ceil), ascending: one shard scan for a principal, else one
+// global scan — the cached global merge when unfiltered, a k-way merge
+// over the shards' indexes when filtered. Either way the cost follows
+// the page (plus O(shards) slice-header copies for a filtered global
+// scan), never any shard's size.
 func (e *Engine) fetchFwd(q Query, from, ceil uint64, max int) []wire.Record {
-	f := q.filter()
 	if q.Principal != "" {
-		return e.st.ScanShard(q.Principal, f, from, ceil, max)
+		return e.st.ScanShard(q.Principal, q.filter(), from, ceil, max)
 	}
-	if f.Channel == "" && !f.KindSet {
-		return e.st.ScanGlobal(from, ceil, max)
-	}
-	var merged []wire.Record
-	for _, p := range e.st.PrincipalsUnsorted() {
-		merged = append(merged, e.st.ScanShard(p, f, from, ceil, max)...)
-	}
-	sort.Slice(merged, func(i, j int) bool { return merged[i].Seq < merged[j].Seq })
-	if max >= 0 && len(merged) > max {
-		merged = merged[:max]
-	}
-	return merged
+	return e.st.ScanFiltered(q.filter(), from, ceil, max)
 }
 
 // fetchBack returns up to n of the most recent records matching q below
-// ceil, ascending. The global filtered plan merges per-shard tails: the
-// global last-n is contained in the union of the per-shard last-n.
+// ceil, ascending, through the same two plans as fetchFwd.
 func (e *Engine) fetchBack(q Query, ceil uint64, n int) []wire.Record {
-	f := q.filter()
 	if q.Principal != "" {
-		return e.st.ScanShardTail(q.Principal, f, ceil, n)
+		return e.st.ScanShardTail(q.Principal, q.filter(), ceil, n)
 	}
-	if f.Channel == "" && !f.KindSet {
-		return e.st.ScanGlobalTail(ceil, n)
-	}
-	var merged []wire.Record
-	for _, p := range e.st.PrincipalsUnsorted() {
-		merged = append(merged, e.st.ScanShardTail(p, f, ceil, n)...)
-	}
-	sort.Slice(merged, func(i, j int) bool { return merged[i].Seq < merged[j].Seq })
-	if n >= 0 && len(merged) > n {
-		merged = merged[len(merged)-n:]
-	}
-	return merged
+	return e.st.ScanFilteredTail(q.filter(), ceil, n)
 }
 
 // viewRecords redacts a batch for its observer, in place of the copies

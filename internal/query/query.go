@@ -10,8 +10,8 @@
 // against the store's bounded scan primitives with index pushdown —
 // channel and kind filters are served from the shard indexes, sequence
 // windows by binary search — and executes it as a chunked walk that
-// copies bounded batches under the stripe locks, never whole shards,
-// so a query's cost scales with its result size.
+// copies bounded batches, never whole shards, so a query's cost scales
+// with its result size.
 //
 // Cursor stability. Every walk is pinned to a snapshot point: the
 // store's sequence high-water at the first page (or the query's

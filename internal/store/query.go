@@ -17,22 +17,13 @@ import (
 
 // Principals returns the principals with at least one shard, sorted.
 func (s *Store) Principals() []string {
-	out := s.PrincipalsUnsorted()
-	sort.Strings(out)
-	return out
-}
-
-// PrincipalsUnsorted returns the principals with at least one shard in
-// arbitrary order — for callers (the query engine's multi-shard merge,
-// which re-orders by sequence number anyway) that would pay the sort
-// per page or per follow wake-up for nothing.
-func (s *Store) PrincipalsUnsorted() []string {
 	s.mu.RLock()
 	out := make([]string, 0, len(s.shards))
 	for p := range s.shards {
 		out = append(out, p)
 	}
 	s.mu.RUnlock()
+	sort.Strings(out)
 	return out
 }
 

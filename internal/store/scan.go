@@ -8,14 +8,18 @@ import (
 )
 
 // Bounded scan primitives: the storage half of the query engine
-// (internal/query). Each call locks one stripe (or none, for the cached
-// global merge), binary-searches the shard's in-memory indexes to the
-// requested sequence window, copies out at most max records, and
-// unlocks — so the lock hold and the copy are proportional to the
-// examined slice of the narrowest matching index (for single-dimension
-// filters, exactly the batch returned), never to the shard. The engine composes these into
-// paginated, cursor-stable result sets; the legacy Store query methods
-// (query.go) are thin wrappers over the same calls.
+// (internal/query). A shard scan locks one stripe, binary-searches the
+// shard's in-memory indexes to the requested sequence window, copies out
+// at most max records, and unlocks — so the lock hold and the copy are
+// proportional to the examined slice of the narrowest matching index
+// (for single-dimension filters, exactly the batch returned), never to
+// the shard. An unfiltered global scan takes no stripe at all: it is
+// served from the cached global merge. A filtered global scan takes each
+// stripe only to copy one shard's slice headers, then merges the shards'
+// index windows lock-free: O(shards) header copies under lock, plus
+// O(page × log shards) merge work and copies. The engine composes these
+// into paginated, cursor-stable result sets; the legacy Store query
+// methods (query.go) are thin wrappers over the same calls.
 
 // Filter selects records within a shard scan. The zero Filter matches
 // everything.
@@ -39,20 +43,23 @@ func (f Filter) matches(r wire.Record) bool {
 }
 
 // idxView is one shard's record positions matching a filter's indexed
-// dimension, in ascending sequence order; the caller holds the stripe
-// lock. direct means positions are the identity (the whole shard).
+// dimension, in ascending sequence order. It holds copies of the shard's
+// slice headers, taken under the stripe lock: shards are append-only once
+// open, so the view stays valid after the lock is released. direct means
+// positions are the identity (the whole shard).
 type idxView struct {
-	sh     *shard
+	recs   []wire.Record
 	idx    []int // nil when direct
 	direct bool
 }
 
-// view resolves the filter to the narrowest index. Returns ok=false for
-// a filter that can match nothing: an out-of-range kind, or a channel
-// filter intersected with a kind the channel index never holds (only
-// snd/rcv records are channel-indexed) — without the latter shortcut, a
-// hostile chan+kind=ift query would walk a whole channel index under
-// the stripe lock to return nothing.
+// view resolves the filter to the narrowest index; the caller holds the
+// shard's stripe lock. Returns ok=false for a filter that can match
+// nothing: an out-of-range kind, or a channel filter intersected with a
+// kind the channel index never holds (only snd/rcv records are
+// channel-indexed) — without the latter shortcut, a hostile
+// chan+kind=ift query would walk a whole channel index to return
+// nothing.
 func view(sh *shard, f Filter) (idxView, bool) {
 	if f.KindSet && (f.Kind < 0 || int(f.Kind) >= len(sh.byKind)) {
 		return idxView{}, false
@@ -62,33 +69,33 @@ func view(sh *shard, f Filter) (idxView, bool) {
 		if f.KindSet && f.Kind != logs.Snd && f.Kind != logs.Rcv {
 			return idxView{}, false
 		}
-		return idxView{sh: sh, idx: sh.byChan[f.Channel]}, true
+		return idxView{recs: sh.recs, idx: sh.byChan[f.Channel]}, true
 	case f.KindSet:
-		return idxView{sh: sh, idx: sh.byKind[int(f.Kind)]}, true
+		return idxView{recs: sh.recs, idx: sh.byKind[int(f.Kind)]}, true
 	default:
-		return idxView{sh: sh, direct: true}, true
+		return idxView{recs: sh.recs, direct: true}, true
 	}
 }
 
 func (v idxView) len() int {
 	if v.direct {
-		return len(v.sh.recs)
+		return len(v.recs)
 	}
 	return len(v.idx)
 }
 
 func (v idxView) seqAt(i int) uint64 {
 	if v.direct {
-		return v.sh.recs[i].Seq
+		return v.recs[i].Seq
 	}
-	return v.sh.recs[v.idx[i]].Seq
+	return v.recs[v.idx[i]].Seq
 }
 
 func (v idxView) recAt(i int) wire.Record {
 	if v.direct {
-		return v.sh.recs[i]
+		return v.recs[i]
 	}
-	return v.sh.recs[v.idx[i]]
+	return v.recs[v.idx[i]]
 }
 
 // window binary-searches the view to the positions holding sequence
@@ -228,6 +235,173 @@ func (s *Store) ScanGlobalTail(ceil uint64, n int) []wire.Record {
 	out := make([]wire.Record, hi-lo)
 	copy(out, recs[lo:hi])
 	return out
+}
+
+// ScanFiltered copies up to max records of the merged cross-shard view
+// matching f with sequence numbers in [from, ceil), ascending; ceil 0
+// means unbounded, max < 0 means all. It is the filtered counterpart of
+// ScanGlobal, which serves the zero Filter: one k-way merge over the
+// shards' index windows that copies only the records it returns.
+func (s *Store) ScanFiltered(f Filter, from, ceil uint64, max int) []wire.Record {
+	if f.Channel == "" && !f.KindSet {
+		return s.ScanGlobal(from, ceil, max)
+	}
+	if max == 0 {
+		return nil
+	}
+	return merge(s.legs(f, from, ceil), f, false, max)
+}
+
+// ScanFilteredTail copies the n most recent records of the merged view
+// matching f with sequence numbers below ceil (0 = unbounded),
+// ascending; n < 0 means all. It is the filtered counterpart of
+// ScanGlobalTail, which serves the zero Filter.
+func (s *Store) ScanFilteredTail(f Filter, ceil uint64, n int) []wire.Record {
+	if f.Channel == "" && !f.KindSet {
+		return s.ScanGlobalTail(ceil, n)
+	}
+	if n == 0 {
+		return nil
+	}
+	return merge(s.legs(f, 0, ceil), f, true, n)
+}
+
+// leg is one shard's part of a filtered global scan: its index view and
+// the window [lo, hi) of view positions not yet merged.
+type leg struct {
+	idxView
+	lo, hi int
+}
+
+// legs resolves f in every shard and windows each view to [from, ceil),
+// dropping empty windows. Each stripe is held only to copy one shard's
+// slice headers; the windows are searched and merged with no lock held.
+//
+// The legs are taken one stripe at a time, yet they form one hole-free
+// snapshot because ceil is first capped at the sequence high-water:
+// every number below it is already assigned, and an append assigns its
+// numbers and lands its records under the acting principal's stripe, so
+// a leg taken afterwards holds every such record of its shard. Without
+// the cap, a later leg could hold a record newer than one an earlier leg
+// missed, and a forward walk resuming past it would skip the older one.
+func (s *Store) legs(f Filter, from, ceil uint64) []leg {
+	if next := s.nextSeq.Load(); ceil == 0 || ceil > next {
+		ceil = next
+	}
+	if ceil <= from {
+		return nil // an empty window; ceil 0 here means an empty store, not "unbounded"
+	}
+	// Copy the shard list and release s.mu before taking any stripe:
+	// globalSnapshot takes s.mu while holding every stripe.
+	s.mu.RLock()
+	shards := make([]*shard, 0, len(s.shards))
+	for _, sh := range s.shards {
+		shards = append(shards, sh)
+	}
+	s.mu.RUnlock()
+	legs := make([]leg, 0, len(shards))
+	for _, sh := range shards {
+		st := s.stripeFor(sh.principal)
+		st.Lock()
+		v, ok := view(sh, f)
+		st.Unlock()
+		if !ok {
+			return nil // f can match nothing, in any shard
+		}
+		if lo, hi := v.window(from, ceil); lo < hi {
+			legs = append(legs, leg{v, lo, hi})
+		}
+	}
+	return legs
+}
+
+// merge walks the legs as one sequence, ascending or (back) newest
+// first, through a binary heap of the legs' next sequence numbers. It
+// copies out up to n records matching f (n < 0 means all) and returns
+// them ascending.
+func merge(legs []leg, f Filter, back bool, n int) []wire.Record {
+	size := 0
+	for _, l := range legs {
+		size += l.hi - l.lo
+	}
+	if n >= 0 && n < size {
+		size = n
+	}
+	if size == 0 {
+		return nil
+	}
+	out := make([]wire.Record, 0, size)
+	h := make(legHeap, len(legs))
+	for i := range legs {
+		h[i] = heapEntry{legs[i].key(back), i}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+	for len(h) > 0 && len(out) != n {
+		l := &legs[h[0].leg]
+		var r wire.Record
+		if back {
+			l.hi--
+			r = l.recAt(l.hi)
+		} else {
+			r = l.recAt(l.lo)
+			l.lo++
+		}
+		if f.matches(r) {
+			out = append(out, r)
+		}
+		if l.lo < l.hi {
+			h[0].key = l.key(back)
+		} else {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		h.down(0)
+	}
+	if back {
+		for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
+			out[i], out[j] = out[j], out[i]
+		}
+	}
+	return out
+}
+
+// key is the heap key of the leg's next record in the walk: its
+// sequence number, complemented for a newest-first walk so that the
+// heap is a min-heap either way.
+func (l *leg) key(back bool) uint64 {
+	if back {
+		return ^l.seqAt(l.hi - 1)
+	}
+	return l.seqAt(l.lo)
+}
+
+// heapEntry is one leg's place in the merge heap.
+type heapEntry struct {
+	key uint64
+	leg int
+}
+
+// legHeap is a binary min-heap on key: its root is the leg holding the
+// walk's next record.
+type legHeap []heapEntry
+
+func (h legHeap) down(i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1].key < h[c].key {
+			c++
+		}
+		if h[i].key <= h[c].key {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // PrincipalCount is one shard's size in Counts.
