@@ -68,6 +68,14 @@
 // reports the role and applied sequence; /metrics gains
 // provd_replica_lag_records, provd_replica_lag_seconds and the other
 // replication gauges. See docs/operations.md, "Running a read replica".
+//
+// Partition mode (-cluster-map) splits the principal space across
+// leaders: with -cluster-self the daemon is one partition leader, an
+// ordinary store that refuses appends for principals it does not own;
+// without it the daemon is a storeless coordinator serving the same
+// HTTP surface over the whole fleet — appends routed by owner, reads
+// merged, audits proxied to the owning leader. See docs/operations.md,
+// "Running a partitioned fleet".
 package main
 
 import (
@@ -93,93 +101,6 @@ import (
 	"repro/internal/store"
 	"repro/internal/trust"
 )
-
-// coordinatorConfig carries the already-resolved flag state into
-// coordinator mode.
-type coordinatorConfig struct {
-	addr       string
-	ingestAddr string
-	grace      time.Duration
-	idlePark   time.Duration
-	serverTLS  *tls.Config
-	clientTLS  *tls.Config
-	guard      *auth.Guard
-	token      string
-}
-
-// runCoordinator is coordinator mode's whole lifecycle: no store, a
-// routing client + fleet read plane over the partition leaders, the
-// coordinator HTTP surface, and the binary listener serving merged
-// queries, follows and the cluster map (appends and snapshots are
-// refused toward the leaders). Never returns.
-func runCoordinator(m *cluster.Map, cfg coordinatorConfig) {
-	rc := cluster.NewClient(m, cluster.ClientOptions{TLS: cfg.clientTLS, Token: cfg.token})
-	fleet := cluster.NewFleet(rc)
-	// The coordinator's own map view (selfID "": owns nothing) lets the
-	// binary listener answer map requests, so producers can bootstrap
-	// from a coordinator address alone.
-	node, err := cluster.NewNode(m, "")
-	if err != nil {
-		log.Fatalf("provd: %v", err)
-	}
-	httpc := &http.Client{Timeout: 30 * time.Second}
-	if cfg.clientTLS != nil {
-		httpc.Transport = &http.Transport{TLSClientConfig: cfg.clientTLS}
-	}
-	app := provd.NewCoordinator(fleet, provd.CoordinatorOptions{Client: httpc, Token: cfg.token})
-	if cfg.guard != nil {
-		app.SetAuth(cfg.guard)
-	}
-	log.Printf("provd: coordinator over %d leaders at epoch %d", len(m.Leaders), m.Epoch)
-
-	var ing *ingest.Server
-	if cfg.ingestAddr != "" {
-		ing = ingest.NewServer(nil, ingest.Options{Engine: fleet, Cluster: node, TLS: cfg.serverTLS, Auth: cfg.guard, IdlePark: cfg.idlePark})
-		bound, err := ing.Listen(cfg.ingestAddr)
-		if err != nil {
-			log.Fatalf("provd: binary listener: %v", err)
-		}
-		app.AttachIngest(ing)
-		log.Printf("provd: binary read plane on %s", bound)
-	}
-	srv := &http.Server{Addr: cfg.addr, Handler: app, TLSConfig: cfg.serverTLS}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() {
-		if cfg.serverTLS != nil {
-			log.Printf("provd: coordinator serving TLS on %s", cfg.addr)
-			if err := srv.ListenAndServeTLS("", ""); !errors.Is(err, http.ErrServerClosed) {
-				errc <- err
-			}
-			return
-		}
-		log.Printf("provd: coordinator serving on %s", cfg.addr)
-		if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
-			errc <- err
-		}
-	}()
-	select {
-	case err := <-errc:
-		if ing != nil {
-			ing.Close()
-		}
-		rc.Close()
-		log.Fatalf("provd: %v", err)
-	case <-ctx.Done():
-	}
-	log.Print("provd: coordinator shutting down")
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), cfg.grace)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil {
-		log.Printf("provd: shutdown: %v", err)
-	}
-	if ing != nil {
-		ing.Close()
-	}
-	rc.Close()
-	fmt.Println("provd: bye")
-}
 
 func main() {
 	var (
@@ -268,80 +189,115 @@ func main() {
 	// batches for principals it does not own and serves the map over the
 	// wire. With -cluster-map alone it is a storeless coordinator: the
 	// merged read plane and routed write plane over the whole fleet.
-	var node *cluster.Node
 	if *clusterSelf != "" && *clusterMap == "" {
 		log.Fatal("provd: -cluster-self needs -cluster-map")
 	}
+	var cm *cluster.Map
 	if *clusterMap != "" {
-		m, err := cluster.LoadFile(*clusterMap)
-		if err != nil {
+		var err error
+		if cm, err = cluster.LoadFile(*clusterMap); err != nil {
 			log.Fatalf("provd: loading -cluster-map: %v", err)
 		}
-		if *clusterSelf == "" {
-			runCoordinator(m, coordinatorConfig{
-				addr: *addr, ingestAddr: *ingestAddr, grace: *grace, idlePark: *idlePark,
-				serverTLS: serverTLS, clientTLS: clientTLS, guard: guard, token: *clusterToken,
-			})
-			return
-		}
-		if *replicaOf != "" {
-			log.Fatal("provd: a partition leader cannot also be a replica; run replicas per partition without -cluster-self")
-		}
-		node, err = cluster.NewNode(m, *clusterSelf)
+	}
+
+	// Build the app for this node's role, the binary listener's options
+	// to match, and closeApp, which releases what the app serves from
+	// once both listeners are down.
+	var (
+		app      *provd.Server
+		st       *store.Store // nil on a coordinator
+		iopts    = ingest.Options{TLS: serverTLS, Auth: guard, IdlePark: *idlePark}
+		closeApp func()
+	)
+	if cm != nil && *clusterSelf == "" {
+		// Coordinator: no store, a routing client + fleet read plane over
+		// the partition leaders. The binary listener serves merged
+		// queries, follows and the cluster map (appends and snapshots are
+		// refused toward the leaders); its map view (selfID "": owns
+		// nothing) lets producers bootstrap from a coordinator address
+		// alone.
+		rc := cluster.NewClient(cm, cluster.ClientOptions{TLS: clientTLS, Token: *clusterToken})
+		fleet := cluster.NewFleet(rc)
+		view, err := cluster.NewNode(cm, "")
 		if err != nil {
 			log.Fatalf("provd: %v", err)
 		}
-		log.Printf("provd: partition leader %q at epoch %d (%d leaders)", *clusterSelf, m.Epoch, len(m.Leaders))
-	}
+		httpc := &http.Client{Timeout: 30 * time.Second}
+		if clientTLS != nil {
+			httpc.Transport = &http.Transport{TLSClientConfig: clientTLS}
+		}
+		app = provd.NewCoordinator(fleet, provd.CoordinatorOptions{Client: httpc, Token: *clusterToken})
+		iopts.Engine, iopts.Cluster = fleet, view
+		closeApp = func() { rc.Close() }
+		log.Printf("provd: coordinator over %d leaders at epoch %d", len(cm.Leaders), cm.Epoch)
+	} else {
+		var node *cluster.Node
+		if cm != nil {
+			if *replicaOf != "" {
+				log.Fatal("provd: a partition leader cannot also be a replica; run replicas per partition without -cluster-self")
+			}
+			var err error
+			if node, err = cluster.NewNode(cm, *clusterSelf); err != nil {
+				log.Fatalf("provd: %v", err)
+			}
+			log.Printf("provd: partition leader %q at epoch %d (%d leaders)", *clusterSelf, cm.Epoch, len(cm.Leaders))
+		}
+		var err error
+		st, err = store.Open(*dir, store.Options{
+			Stripes: *stripes, SegmentBytes: *segBytes, Fsync: *fsync, MaxShards: *maxShards,
+			SessionWindow: *dedupWindow, MaxSessions: *maxSessions,
+		})
+		if err != nil {
+			log.Fatalf("provd: opening store: %v", err)
+		}
+		stats := st.Stats()
+		log.Printf("provd: store %s recovered: %d records, %d shards, next seq %d",
+			*dir, stats.Records, stats.Principals, stats.NextSeq)
 
-	st, err := store.Open(*dir, store.Options{
-		Stripes: *stripes, SegmentBytes: *segBytes, Fsync: *fsync, MaxShards: *maxShards,
-		SessionWindow: *dedupWindow, MaxSessions: *maxSessions,
-	})
-	if err != nil {
-		log.Fatalf("provd: opening store: %v", err)
-	}
-	stats := st.Stats()
-	log.Printf("provd: store %s recovered: %d records, %d shards, next seq %d",
-		*dir, stats.Records, stats.Principals, stats.NextSeq)
-
-	app := provd.NewServer(st, policy)
-	if guard != nil {
-		app.SetAuth(guard)
-		log.Printf("provd: enforcing %d identities from %s", guard.Map.Len(), *authMap)
-	}
-	if node != nil {
-		app.SetCluster(node)
-	}
-	var rep *replica.Replicator
-	if *replicaOf != "" {
-		rep = replica.New(st, *replicaOf, replica.Options{Logf: log.Printf, TLS: clientTLS, Token: *replicaToken})
-		rep.Start()
-		app.SetReplica(rep, *leaderHTTP)
-		log.Printf("provd: replica of %s (applied seq %d)", *replicaOf, st.NextSeq())
-	}
-	var ing *ingest.Server
-	if *ingestAddr != "" {
+		app = provd.NewServer(st, policy)
+		if node != nil {
+			app.SetCluster(node)
+			iopts.Cluster = node
+		}
+		var rep *replica.Replicator
+		if *replicaOf != "" {
+			rep = replica.New(st, *replicaOf, replica.Options{Logf: log.Printf, TLS: clientTLS, Token: *replicaToken})
+			rep.Start()
+			app.SetReplica(rep, *leaderHTTP)
+			log.Printf("provd: replica of %s (applied seq %d)", *replicaOf, st.NextSeq())
+		}
 		// Share the HTTP app's query engine: both read surfaces apply
 		// one policy and accumulate one set of counters. In replica mode
 		// the listener still serves queries, follows and snapshots — a
 		// replica can seed further replicas — but refuses appends.
-		iopts := ingest.Options{Engine: app.Engine(), ReadOnly: rep != nil, LeaderAddr: *replicaOf, TLS: serverTLS, Auth: guard, IdlePark: *idlePark}
-		if node != nil {
-			iopts.Cluster = node
+		iopts.Engine, iopts.ReadOnly, iopts.LeaderAddr = app.Engine(), rep != nil, *replicaOf
+		closeApp = func() {
+			if rep != nil {
+				// Stop replication after the listeners: the store must
+				// not close under a mid-flight apply, and the durable
+				// high-water is the restart's resume point.
+				rep.Stop()
+			}
+			if err := st.Close(); err != nil {
+				log.Printf("provd: closing store: %v", err)
+			}
 		}
+	}
+	if guard != nil {
+		app.SetAuth(guard)
+		log.Printf("provd: enforcing %d identities from %s", guard.Map.Len(), *authMap)
+	}
+	var ing *ingest.Server
+	if *ingestAddr != "" {
 		ing = ingest.NewServer(st, iopts)
 		bound, err := ing.Listen(*ingestAddr)
 		if err != nil {
-			if rep != nil {
-				rep.Stop()
-			}
-			st.Close()
+			closeApp()
 			log.Fatalf("provd: binary ingest listener: %v", err)
 		}
+		app.AttachIngest(ing)
 		log.Printf("provd: binary ingest on %s", bound)
 	}
-	app.AttachIngest(ing)
 	srv := &http.Server{Addr: *addr, Handler: app, TLSConfig: serverTLS}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -366,10 +322,7 @@ func main() {
 		if ing != nil {
 			ing.Close()
 		}
-		if rep != nil {
-			rep.Stop()
-		}
-		st.Close()
+		closeApp()
 		log.Fatalf("provd: %v", err)
 	case <-ctx.Done():
 	}
@@ -384,14 +337,6 @@ func main() {
 		// client managed to get onto the wire is committed and acked.
 		ing.Close()
 	}
-	if rep != nil {
-		// Stop replication after the listeners: the store must not close
-		// under a mid-flight apply, and the durable high-water is the
-		// restart's resume point.
-		rep.Stop()
-	}
-	if err := st.Close(); err != nil {
-		log.Printf("provd: closing store: %v", err)
-	}
+	closeApp()
 	fmt.Println("provd: bye")
 }

@@ -426,7 +426,7 @@ func (ff *fleetFollower) Close() {
 // --- audit + append routing, for the coordinator's HTTP surface ---
 
 // AuditPrincipals returns the distinct owners of the principals a
-// provenance names — the audit router's input (provd.Coordinator).
+// provenance names — the coordinator audit route's input (internal/provd).
 func (f *Fleet) AuditPrincipals(k syntax.Prov) map[string][]string {
 	m := f.c.Map()
 	owners := make(map[string][]string)

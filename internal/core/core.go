@@ -16,6 +16,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 
 	"repro/internal/denote"
@@ -97,7 +98,7 @@ type Report struct {
 func (p *Program) Run(opts Options) *Report {
 	m := monitor.New(p.Sys)
 	rep := &Report{}
-	rng := newRng(opts.Seed)
+	rng := rand.New(rand.NewSource(opts.Seed))
 	for len(rep.Steps) < opts.maxSteps() {
 		steps := monitor.Steps(m)
 		if len(steps) == 0 {
@@ -128,7 +129,7 @@ func (p *Program) Run(opts Options) *Report {
 func (p *Program) RunTrace(opts Options) []*monitor.Monitored {
 	m := monitor.New(p.Sys)
 	trace := []*monitor.Monitored{m}
-	rng := newRng(opts.Seed)
+	rng := rand.New(rand.NewSource(opts.Seed))
 	for len(trace)-1 < opts.maxSteps() {
 		steps := monitor.Steps(m)
 		if len(steps) == 0 {

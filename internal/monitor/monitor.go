@@ -17,6 +17,8 @@
 package monitor
 
 import (
+	"math/rand"
+
 	"repro/internal/denote"
 	"repro/internal/logs"
 	"repro/internal/semantics"
@@ -223,7 +225,7 @@ func HasCompleteProvenance(m *Monitored) bool {
 func Run(s syntax.System, seed int64, maxSteps int) []*Monitored {
 	cur := New(s)
 	trace := []*Monitored{cur}
-	rng := newRng(seed)
+	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < maxSteps; i++ {
 		steps := Steps(cur)
 		if len(steps) == 0 {

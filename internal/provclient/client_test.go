@@ -35,7 +35,7 @@ func TestAppendBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := st.GlobalRecords()
+	recs := st.ScanGlobalTail(0, -1)
 	if len(recs) != len(batch) {
 		t.Fatalf("store has %d records, want %d", len(recs), len(batch))
 	}
@@ -71,7 +71,7 @@ func TestAppendCoalesces(t *testing.T) {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}
-	recs := st.GlobalRecords()
+	recs := st.ScanGlobalTail(0, -1)
 	if len(recs) != n {
 		t.Fatalf("store has %d records, want %d", len(recs), n)
 	}
@@ -133,7 +133,7 @@ func TestRetryReconnect(t *testing.T) {
 	if _, err := c.AppendBatch([]logs.Action{act("p", 1)}); err != nil {
 		t.Fatalf("append after restart: %v", err)
 	}
-	if n := len(st.Records("p")); n != 2 {
+	if n := len(st.ScanShardTail("p", store.Filter{}, 0, -1)); n != 2 {
 		t.Fatalf("store has %d records, want 2", n)
 	}
 }
@@ -165,7 +165,7 @@ func TestReplayAfterLostAck(t *testing.T) {
 	default:
 		t.Fatal("proxy never dropped an ack; the test exercised nothing")
 	}
-	recs := st.GlobalRecords()
+	recs := st.ScanGlobalTail(0, -1)
 	if len(recs) != len(batch) {
 		t.Fatalf("store has %d records, want %d (replay must not duplicate)", len(recs), len(batch))
 	}
@@ -304,7 +304,7 @@ func TestFlushAndClose(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if n := len(st.Records("p")); n != 1 {
+	if n := len(st.ScanShardTail("p", store.Filter{}, 0, -1)); n != 1 {
 		t.Fatalf("store has %d records, want 1", n)
 	}
 	if err := c.Close(); err != nil {
@@ -329,7 +329,7 @@ func TestChunkedBatch(t *testing.T) {
 	if _, err := c.AppendBatch(batch); err != nil {
 		t.Fatal(err)
 	}
-	recs := st.Records("p")
+	recs := st.ScanShardTail("p", store.Filter{}, 0, -1)
 	if len(recs) != len(batch) {
 		t.Fatalf("store has %d records, want %d", len(recs), len(batch))
 	}

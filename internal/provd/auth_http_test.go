@@ -126,7 +126,7 @@ func TestHTTPAuthTokens(t *testing.T) {
 	if code := do(t, ts, "POST", "/append", "wtok", batch, nil); code != http.StatusForbidden {
 		t.Fatalf("mixed batch: %d", code)
 	}
-	if n := len(st.Records("bob")); n != 0 {
+	if n := len(st.ScanShardTail("bob", store.Filter{}, 0, -1)); n != 0 {
 		t.Fatalf("bob has %d records; impersonation committed", n)
 	}
 	// …and cannot read at all.
@@ -224,7 +224,7 @@ func TestHTTPAuthClientCert(t *testing.T) {
 	if code := post(client("stranger"), "alice"); code != http.StatusUnauthorized {
 		t.Fatalf("unmapped certificate: %d", code)
 	}
-	if n := len(st2.Records("alice")); n != 1 {
+	if n := len(st2.ScanShardTail("alice", store.Filter{}, 0, -1)); n != 1 {
 		t.Fatalf("alice has %d records, want 1", n)
 	}
 }

@@ -116,7 +116,7 @@ func TestShardLogFiltersAndCursor(t *testing.T) {
 	if len(lr.Records) != 10 || lr.Cursor == "" {
 		t.Fatalf("filtered page: %d records, cursor %q", len(lr.Records), lr.Cursor)
 	}
-	want := st.ByChannel("p0", "c0")
+	want := st.ScanShardTail("p0", store.Filter{Channel: "c0"}, 0, -1)
 	if lr.Records[0].Seq != want[len(want)-10].Seq {
 		t.Fatalf("filtered tail starts at %d, want %d", lr.Records[0].Seq, want[len(want)-10].Seq)
 	}
@@ -149,7 +149,7 @@ func TestGlobalLogFilters(t *testing.T) {
 		t.Fatalf("status %d", code)
 	}
 	wantN := 0
-	for _, r := range st.GlobalRecords() {
+	for _, r := range st.ScanGlobalTail(0, -1) {
 		if r.Act.A.Name == "c1" {
 			wantN++
 		}
@@ -186,7 +186,7 @@ func TestPrincipalsPagination(t *testing.T) {
 		t.Fatalf("page 1: %+v", pr)
 	}
 	for _, p := range pr.Principals {
-		if want := len(st.Records(p.Principal)); p.Records != want {
+		if want := len(st.ScanShardTail(p.Principal, store.Filter{}, 0, -1)); p.Records != want {
 			t.Fatalf("%s reports %d records, holds %d", p.Principal, p.Records, want)
 		}
 	}

@@ -1,15 +1,16 @@
 package provd
 
-// Replica mode: the same HTTP surface over a replicated store. Every
-// read endpoint — log, audit, principals, follow via the attached
-// binary listener — already runs against whatever store the server
-// wraps, so replica mode only has to do three things: refuse writes
+// Replica mode: the node surface over a replicated store. Every read
+// endpoint — log, audit, principals, follow via the attached binary
+// listener — already runs against whatever store the node wraps, so
+// replica mode only has to do three things: refuse writes
 // with a pointer at the leader, report its role honestly on /healthz,
 // and export replication lag on /metrics. cmd/provd enables it with
 // -replica-of.
 
 import (
 	"fmt"
+	"io"
 	"net/http"
 
 	"repro/internal/replica"
@@ -20,27 +21,33 @@ import (
 // ingest address otherwise), and /healthz and /metrics report the
 // replicator's role, applied sequence and lag.
 func (s *Server) SetReplica(rep *replica.Replicator, leaderHTTP string) {
-	s.replica = rep
-	s.leaderHTTP = leaderHTTP
+	n := s.local()
+	n.replica, n.leaderHTTP = rep, leaderHTTP
 }
 
-// rejectWrite answers a mutating request on a replica: a 307 redirect
-// when the leader's HTTP base is known (the client may replay the same
-// body there), a 503 naming the leader's ingest address otherwise.
-func (s *Server) rejectWrite(w http.ResponseWriter, r *http.Request) {
-	if s.leaderHTTP != "" {
-		http.Redirect(w, r, s.leaderHTTP+r.URL.RequestURI(), http.StatusTemporaryRedirect)
-		return
+// refuseWrite answers a mutating request on a replica — compaction
+// too, since the Replicator must stay the store's only writer: a 307
+// redirect when the leader's HTTP base is known (the client may replay
+// the same body there), a 503 naming the leader's ingest address
+// otherwise.
+func (n *node) refuseWrite(w http.ResponseWriter, r *http.Request) bool {
+	switch {
+	case n.replica == nil:
+		return false
+	case n.leaderHTTP != "":
+		http.Redirect(w, r, n.leaderHTTP+r.URL.RequestURI(), http.StatusTemporaryRedirect)
+	default:
+		writeJSON(w, http.StatusServiceUnavailable, map[string]string{
+			"error":  "read-only replica: writes must go to the leader",
+			"leader": n.replica.Status().Leader,
+		})
 	}
-	s.writeJSON(w, http.StatusServiceUnavailable, map[string]string{
-		"error":  "read-only replica: writes must go to the leader",
-		"leader": s.replica.Status().Leader,
-	})
+	return true
 }
 
 // replicaHealth folds the replicator's status into the health payload.
-func (s *Server) replicaHealth(h map[string]any) {
-	st := s.replica.Status()
+func (n *node) replicaHealth(h map[string]any) {
+	st := n.replica.Status()
 	h["role"] = "replica"
 	h["leader"] = st.Leader
 	h["applied_seq"] = st.AppliedSeq
@@ -54,8 +61,8 @@ func (s *Server) replicaHealth(h map[string]any) {
 }
 
 // replicaMetrics emits the replication gauges on /metrics.
-func (s *Server) replicaMetrics(w http.ResponseWriter) {
-	st := s.replica.Status()
+func (n *node) replicaMetrics(w io.Writer) {
+	st := n.replica.Status()
 	fmt.Fprintf(w, "provd_replica_applied_seq %d\n", st.AppliedSeq)
 	fmt.Fprintf(w, "provd_replica_leader_seq %d\n", st.LeaderSeq)
 	fmt.Fprintf(w, "provd_replica_lag_records %d\n", st.LagRecords)

@@ -1,9 +1,14 @@
 // Package provd is the application layer of the provenance log daemon:
-// the HTTP/JSON audit and query service over a store.Store, plus the
-// glue that surfaces the binary ingest listener's counters. cmd/provd
-// wires it to flags and signals; living here (rather than in the
-// command) lets benchmarks and load generators drive the real handlers
-// in process.
+// the HTTP/JSON audit and query surface, plus the glue that surfaces
+// the binary ingest listener's counters. One Server serves every route
+// in either of two roles: a node over its own store.Store (NewServer),
+// or a fleet coordinator over the partition leaders (NewCoordinator).
+// The auth gate, request decoding, observer coercion, pagination and
+// the metrics writer are written once here; what depends on where the
+// log lives sits behind the backend interface (node.go,
+// coordinator.go). cmd/provd wires it to flags and signals; living
+// here (rather than in the command) lets benchmarks and load
+// generators drive the real handlers in process.
 package provd
 
 import (
@@ -25,56 +30,75 @@ import (
 	"repro/internal/ingest"
 	"repro/internal/logs"
 	"repro/internal/query"
-	"repro/internal/replica"
-	"repro/internal/store"
-	"repro/internal/trust"
+	"repro/internal/syntax"
 	"repro/internal/wire"
 )
 
-// Server is the audit/query front end over a store.Store: every read
-// endpoint is a thin adapter over the typed query engine
-// (internal/query), which owns filtering, cursor pagination and
-// disclosure redaction — the same engine the binary read path serves,
+// Server is the audit/query front end. Every read endpoint is a thin
+// adapter over a query.Runner — a node's typed query engine
+// (internal/query) or a coordinator's scatter-gather fleet
+// (internal/cluster) — which owns filtering, cursor pagination and
+// disclosure redaction: the same runner the binary read path serves,
 // so HTTP and binary observers see byte-identical decisions.
 type Server struct {
-	store   *store.Store
-	policy  *trust.DisclosurePolicy
-	engine  *query.Engine
+	b       backend
 	mux     *http.ServeMux
 	started time.Time
-	// ingest, when set, is the binary pipelined listener sharing the
-	// store; its counters join /metrics so one scrape covers both
-	// ingestion surfaces.
+	// ingest, when set, is the binary pipelined listener beside this
+	// surface; its counters join /metrics so one scrape covers both.
 	ingest *ingest.Server
-	// replica, when set, puts the server in replica mode (replica.go in
-	// this package): reads serve locally, writes are refused toward the
-	// leader, health and metrics carry role and lag.
-	replica    *replica.Replicator
-	leaderHTTP string
 	// auth, when set, turns on identity enforcement (SetAuth): every
 	// endpoint except /healthz and /metrics requires a resolved grant,
 	// checked per operation exactly like the binary surface checks it.
 	auth *auth.Guard
-	// cluster, when set, makes this node one partition leader
-	// (SetCluster): HTTP appends for principals it does not own are
-	// refused with 421, mirroring the binary surface's per-request
-	// "cluster:" reject — a principal's records must live on exactly
-	// one leader or audit locality breaks.
-	cluster ingest.ClusterView
 
 	requests atomic.Uint64
 	badReqs  atomic.Uint64
 }
 
-// NewServer wires the routes. A nil policy means full disclosure.
-func NewServer(st *store.Store, policy *trust.DisclosurePolicy) *Server {
-	if policy == nil {
-		policy = trust.NewDisclosurePolicy()
-	}
-	s := &Server{store: st, policy: policy, engine: query.NewEngine(st, policy), mux: http.NewServeMux(), started: time.Now()}
+// backend is what a role serves from. The shared handlers decode,
+// authorise and paginate; the backend does the part that depends on
+// where the log lives. A failure it returns as a *statusError keeps
+// that status; any other error is the client's (400).
+type backend interface {
+	// Run serves both log endpoints.
+	query.Runner
+	// refuseWrite answers a mutating request this node must not take
+	// (a replica's redirect) and reports whether it did.
+	refuseWrite(w http.ResponseWriter, r *http.Request) bool
+	// admit vets one action's principal before any action is appended.
+	admit(principal string) error
+	// append commits a decoded, authorised batch and returns the
+	// response body; single marks a one-action (non-array) request.
+	append(acts []logs.Action, single bool) (any, error)
+	// audit answers a decoded Definition-3 claim whose observer is
+	// already pinned to the caller's grant, writing the verdict.
+	audit(w http.ResponseWriter, req AuditRequest, k syntax.Prov) error
+	// principals lists the principals visible to observer, name-sorted.
+	principals(observer string) ([]PrincipalDTO, error)
+	compact(principal string) error
+	// clusterMap reports the partition map's epoch and leader count
+	// when this role belongs to a partitioned fleet.
+	clusterMap() (epoch uint64, leaders int, ok bool)
+	// health and metrics add the role's own /healthz fields and
+	// /metrics lines.
+	health(h map[string]any)
+	metrics(w io.Writer)
+}
+
+// statusError is a backend failure carrying its own HTTP status.
+type statusError struct {
+	code int
+	err  error
+}
+
+func (e *statusError) Error() string { return e.err.Error() }
+
+func newServer(b backend) *Server {
+	s := &Server{b: b, mux: http.NewServeMux(), started: time.Now()}
 	s.mux.HandleFunc("POST /append", s.handleAppend)
-	s.mux.HandleFunc("GET /log", s.handleGlobalLog)
-	s.mux.HandleFunc("GET /log/{principal}", s.handleShardLog)
+	s.mux.HandleFunc("GET /log", s.handleLog)
+	s.mux.HandleFunc("GET /log/{principal}", s.handleLog)
 	s.mux.HandleFunc("POST /audit", s.handleAudit)
 	s.mux.HandleFunc("POST /compact", s.handleCompact)
 	s.mux.HandleFunc("GET /principals", s.handlePrincipals)
@@ -83,36 +107,14 @@ func NewServer(st *store.Store, policy *trust.DisclosurePolicy) *Server {
 	return s
 }
 
-// AttachIngest joins a binary ingest listener's counters to /metrics,
-// so one scrape covers both ingestion surfaces.
+// AttachIngest joins a binary listener's counters to /metrics, so one
+// scrape covers both surfaces.
 func (s *Server) AttachIngest(in *ingest.Server) { s.ingest = in }
-
-// Engine exposes the server's query engine so the binary read path can
-// share it (ingest.Options.Engine): one engine, one set of
-// redaction/denial counters, whichever surface served the read.
-func (s *Server) Engine() *query.Engine { return s.engine }
 
 // SetAuth turns on identity enforcement. Pass the same Guard as
 // ingest.Options.Auth so both surfaces share one identity map and one
 // set of provd_auth_* rejection counters.
 func (s *Server) SetAuth(g *auth.Guard) { s.auth = g }
-
-// SetCluster marks this node a partition leader. Pass the same view as
-// ingest.Options.Cluster so both write surfaces enforce one ownership
-// decision.
-func (s *Server) SetCluster(cv ingest.ClusterView) { s.cluster = cv }
-
-// forbidNotOwned writes the 421 for an append naming a principal this
-// leader does not own under the current map epoch.
-func (s *Server) forbidNotOwned(w http.ResponseWriter, principal string) bool {
-	if s.cluster == nil || s.cluster.Owns(principal) {
-		return false
-	}
-	s.writeJSON(w, http.StatusMisdirectedRequest, map[string]string{
-		"error": fmt.Sprintf("cluster: not owner of principal %q at epoch %d: refetch the map and re-route", principal, s.cluster.Epoch()),
-	})
-	return true
-}
 
 // grantKey stashes the request's resolved grant in its context.
 type grantKey struct{}
@@ -125,7 +127,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		grant := s.resolveGrant(r)
 		if grant == nil {
 			s.auth.ConnRejects.Add(1)
-			s.writeJSON(w, http.StatusUnauthorized, map[string]string{
+			writeJSON(w, http.StatusUnauthorized, map[string]string{
 				"error": "no known identity: present a client certificate or bearer token",
 			})
 			return
@@ -140,7 +142,15 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // token against the auth map's token table (the dev shape). Nil if
 // neither names a known identity.
 func (s *Server) resolveGrant(r *http.Request) *auth.Grant {
-	return resolveGrant(s.auth, r)
+	if r.TLS != nil && len(r.TLS.PeerCertificates) > 0 {
+		if gr := s.auth.GrantForCert(r.TLS.PeerCertificates); gr != nil {
+			return gr
+		}
+	}
+	if tok, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer "); ok {
+		return s.auth.Map.ByToken(tok)
+	}
+	return nil
 }
 
 // grantFrom recovers the grant ServeHTTP resolved (nil when
@@ -154,32 +164,64 @@ func grantFrom(r *http.Request) *auth.Grant {
 // cover, bumping the given rejection counter.
 func (s *Server) forbidRole(w http.ResponseWriter, ctr *atomic.Uint64, grant *auth.Grant, role string) {
 	ctr.Add(1)
-	s.writeJSON(w, http.StatusForbidden, map[string]string{
+	writeJSON(w, http.StatusForbidden, map[string]string{
 		"error": fmt.Sprintf("identity %q lacks the %s role", grant.Name, role),
 	})
 }
 
-func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
-	writeJSON(w, code, v)
+// coerceRead gates a read on the grant's read role and pins its
+// observer to the grant — whatever view the caller asked for (including
+// the full, unredacted "" view), it reads as the observer its identity
+// maps to; replica-role grants pass through. Reports whether the read
+// may proceed.
+func (s *Server) coerceRead(w http.ResponseWriter, r *http.Request, observer *string) bool {
+	grant := grantFrom(r)
+	if grant == nil {
+		return true
+	}
+	if !grant.CanRead() {
+		s.forbidRole(w, &s.auth.QueryRejects, grant, "read")
+		return false
+	}
+	*observer = grant.CoerceObserver(*observer)
+	return true
+}
+
+func writeJSON(w http.ResponseWriter, code int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	json.NewEncoder(w).Encode(v)
 }
 
 func (s *Server) clientError(w http.ResponseWriter, err error) {
 	s.badReqs.Add(1)
-	s.writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+	writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+}
+
+// fail writes a backend failure: its own status for a *statusError,
+// 400 otherwise.
+func (s *Server) fail(w http.ResponseWriter, err error) {
+	var se *statusError
+	if errors.As(err, &se) {
+		writeJSON(w, se.code, map[string]string{"error": se.Error()})
+		return
+	}
+	s.clientError(w, err)
 }
 
 const maxBodyBytes = 1 << 20
 
-// handleAppend durably appends one action — or, when the body is a JSON
-// array, a whole batch in one store lock round — and returns the
-// assigned sequence number(s). This is the ingestion path for
-// middlewares that are not in-process (an in-process runtime.Net uses
-// the sink hook directly); a remote mirror draining its own async
-// pipeline should post batches, matching the store's AppendBatch fast
-// path.
+// handleAppend appends one action — or, when the body is a JSON array,
+// a whole batch — through the backend: durably into the store on a
+// node (one lock round per batch), routed by owning principal on a
+// coordinator. This is the ingestion path for middlewares that are not
+// in-process (an in-process runtime.Net uses the sink hook directly);
+// a remote mirror draining its own async pipeline should post batches,
+// matching the store's AppendBatch fast path. The whole batch must be
+// within the grant's principal set — rejecting it entire keeps the
+// "error means none appended" contract the binary surface gives.
 func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
-	if s.replica != nil {
-		s.rejectWrite(w, r)
+	if s.b.refuseWrite(w, r) {
 		return
 	}
 	grant := grantFrom(r)
@@ -192,97 +234,63 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		s.clientError(w, fmt.Errorf("reading body: %w", err))
 		return
 	}
-	if t := bytes.TrimLeft(body, " \t\r\n"); len(t) > 0 && t[0] == '[' {
-		s.appendBatch(w, grant, t)
-		return
-	}
-	var dto ActionDTO
-	if err := json.Unmarshal(body, &dto); err != nil {
-		s.clientError(w, fmt.Errorf("decoding action: %w", err))
-		return
-	}
-	a, err := dto.action()
+	dtos, single, err := decodeActions(body)
 	if err != nil {
 		s.clientError(w, err)
-		return
-	}
-	if grant != nil && !grant.AllowsPrincipal(a.Principal) {
-		s.forbidPrincipal(w, grant, a.Principal)
-		return
-	}
-	if s.forbidNotOwned(w, a.Principal) {
-		return
-	}
-	seq, err := s.store.Append(a)
-	if err != nil {
-		s.appendError(w, err)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, AppendResponse{Seq: seq})
-}
-
-// forbidPrincipal writes the 403 for a batch claiming a principal
-// outside the grant.
-func (s *Server) forbidPrincipal(w http.ResponseWriter, grant *auth.Grant, principal string) {
-	s.auth.AppendRejects.Add(1)
-	s.writeJSON(w, http.StatusForbidden, map[string]string{
-		"error": fmt.Sprintf("identity %q may not append as principal %q", grant.Name, principal),
-	})
-}
-
-// appendBatch is the batch arm of /append: all actions are appended in
-// body order under one lock round and receive a contiguous block of
-// sequence numbers starting at the returned seq. The whole batch must
-// be within the grant's principal set — rejecting it entire keeps the
-// "error means none appended" contract the binary surface gives.
-func (s *Server) appendBatch(w http.ResponseWriter, grant *auth.Grant, body []byte) {
-	var dtos []ActionDTO
-	if err := json.Unmarshal(body, &dtos); err != nil {
-		s.clientError(w, fmt.Errorf("decoding action batch: %w", err))
-		return
-	}
-	if len(dtos) == 0 {
-		s.clientError(w, fmt.Errorf("empty action batch"))
 		return
 	}
 	acts := make([]logs.Action, len(dtos))
 	for i, dto := range dtos {
 		a, err := dto.action()
 		if err != nil {
-			s.clientError(w, fmt.Errorf("action %d: %w", i, err))
+			if !single {
+				err = fmt.Errorf("action %d: %w", i, err)
+			}
+			s.clientError(w, err)
 			return
 		}
 		if grant != nil && !grant.AllowsPrincipal(a.Principal) {
-			s.forbidPrincipal(w, grant, a.Principal)
+			s.auth.AppendRejects.Add(1)
+			writeJSON(w, http.StatusForbidden, map[string]string{
+				"error": fmt.Sprintf("identity %q may not append as principal %q", grant.Name, a.Principal),
+			})
 			return
 		}
-		if s.forbidNotOwned(w, a.Principal) {
+		if err := s.b.admit(a.Principal); err != nil {
+			s.fail(w, err)
 			return
 		}
 		acts[i] = a
 	}
-	base, err := s.store.AppendBatch(acts)
+	resp, err := s.b.append(acts, single)
 	if err != nil {
-		s.appendError(w, err)
+		s.fail(w, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, BatchAppendResponse{Seq: base, Count: len(acts)})
+	writeJSON(w, http.StatusOK, resp)
 }
 
-// appendError maps a store append failure to its HTTP status.
-func (s *Server) appendError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, store.ErrInvalidAction):
-		s.clientError(w, err)
-	case errors.Is(err, store.ErrShardLimit):
-		s.writeJSON(w, http.StatusTooManyRequests, map[string]string{"error": err.Error()})
-	default:
-		s.writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
+// decodeActions decodes an /append body: a JSON array is a batch
+// (single false, never empty), anything else one action.
+func decodeActions(body []byte) (dtos []ActionDTO, single bool, err error) {
+	if t := bytes.TrimLeft(body, " \t\r\n"); len(t) > 0 && t[0] == '[' {
+		if err := json.Unmarshal(t, &dtos); err != nil {
+			return nil, false, fmt.Errorf("decoding action batch: %w", err)
+		}
+		if len(dtos) == 0 {
+			return nil, false, fmt.Errorf("empty action batch")
+		}
+		return dtos, false, nil
 	}
+	var dto ActionDTO
+	if err := json.Unmarshal(body, &dto); err != nil {
+		return nil, true, fmt.Errorf("decoding action: %w", err)
+	}
+	return []ActionDTO{dto}, true, nil
 }
 
-// recordDTOs converts an engine page (already redacted for its
-// observer) to the JSON shape.
+// recordDTOs converts a query page (already redacted for its observer)
+// to the JSON shape.
 func recordDTOs(recs []wire.Record) []RecordDTO {
 	dtos := make([]RecordDTO, len(recs))
 	for i, r := range recs {
@@ -291,12 +299,11 @@ func recordDTOs(recs []wire.Record) []RecordDTO {
 	return dtos
 }
 
-// logQuery assembles the engine query shared by /log and
-// /log/{principal} from the URL: ?observer=, ?limit= (page size,
-// default 10000), ?cursor= (resume a walk), ?chan= / ?kind= (index
-// filters), ?from= (ascending walk from a sequence number; without it
-// the page is the most recent records, whose cursor pages backwards
-// through history).
+// logQuery assembles the query shared by /log and /log/{principal}
+// from the URL: ?observer=, ?limit= (page size, default 10000),
+// ?cursor= (resume a walk), ?chan= / ?kind= (index filters), ?from=
+// (ascending walk from a sequence number; without it the page is the
+// most recent records, whose cursor pages backwards through history).
 func logQuery(r *http.Request, principal string) (query.Query, error) {
 	v := r.URL.Query()
 	limit, err := query.ParseLimit(v.Get("limit"))
@@ -329,20 +336,32 @@ func logQuery(r *http.Request, principal string) (query.Query, error) {
 	return q, nil
 }
 
-// serveLog runs the query and writes the LogResponse; the error mapping
-// (denied shard → 403, bad cursor/query → 400) is shared by both log
-// endpoints.
-func (s *Server) serveLog(w http.ResponseWriter, q query.Query) {
+// handleLog serves the global log (GET /log) or one principal's shard
+// (GET /log/{principal}) through the backend's runner: redacted for
+// ?observer=, filtered by ?chan=/?kind=, paginated by ?limit= and
+// ?cursor= (?from= walks forward instead). A shard query is keyed by
+// the acting principal, so masking the records would still disclose
+// who acted: the runner denies the whole shard (403) to observers the
+// principal hides from.
+func (s *Server) handleLog(w http.ResponseWriter, r *http.Request) {
+	q, err := logQuery(r, r.PathValue("principal"))
+	if err != nil {
+		s.clientError(w, err)
+		return
+	}
+	if !s.coerceRead(w, r, &q.Observer) {
+		return
+	}
 	// An explicit ?limit=0 is a probe: run a minimal query (so denial
 	// and cursor validation still apply) but serve no records.
 	probe := q.Limit == 0
 	if probe {
 		q.Limit = 1
 	}
-	page, err := s.engine.Run(q)
+	page, err := s.b.Run(q)
 	switch {
 	case errors.Is(err, query.ErrDenied):
-		s.writeJSON(w, http.StatusForbidden, map[string]string{
+		writeJSON(w, http.StatusForbidden, map[string]string{
 			"error": fmt.Sprintf("principal %s does not disclose its log to %q", q.Principal, q.Observer),
 		})
 		return
@@ -353,7 +372,7 @@ func (s *Server) serveLog(w http.ResponseWriter, q query.Query) {
 	if probe {
 		page.Records, page.Cursor = nil, ""
 	}
-	s.writeJSON(w, http.StatusOK, LogResponse{
+	writeJSON(w, http.StatusOK, LogResponse{
 		Principal: q.Principal,
 		Observer:  q.Observer,
 		Records:   recordDTOs(page.Records),
@@ -362,58 +381,10 @@ func (s *Server) serveLog(w http.ResponseWriter, q query.Query) {
 	})
 }
 
-// handleGlobalLog serves the recovered monitor log through the query
-// engine: redacted for ?observer=, filtered by ?chan=/?kind=, paginated
-// by ?limit= and ?cursor= (?from= walks forward instead).
-func (s *Server) handleGlobalLog(w http.ResponseWriter, r *http.Request) {
-	q, err := logQuery(r, "")
-	if err != nil {
-		s.clientError(w, err)
-		return
-	}
-	if !s.coerceRead(w, r, &q.Observer) {
-		return
-	}
-	s.serveLog(w, q)
-}
-
-// coerceRead gates a read on the grant's read role and pins its
-// observer to the grant — whatever view the caller asked for (including
-// the full, unredacted "" view), it reads as the observer its identity
-// maps to; replica-role grants pass through. Reports whether the read
-// may proceed.
-func (s *Server) coerceRead(w http.ResponseWriter, r *http.Request, observer *string) bool {
-	grant := grantFrom(r)
-	if grant == nil {
-		return true
-	}
-	if !grant.CanRead() {
-		s.forbidRole(w, &s.auth.QueryRejects, grant, "read")
-		return false
-	}
-	*observer = grant.CoerceObserver(*observer)
-	return true
-}
-
-// handleShardLog serves one principal's shard through the query engine.
-// A shard query is keyed by the acting principal, so masking the
-// records would still disclose who acted: the engine denies the whole
-// shard to observers the principal hides from.
-func (s *Server) handleShardLog(w http.ResponseWriter, r *http.Request) {
-	q, err := logQuery(r, r.PathValue("principal"))
-	if err != nil {
-		s.clientError(w, err)
-		return
-	}
-	if !s.coerceRead(w, r, &q.Observer) {
-		return
-	}
-	s.serveLog(w, q)
-}
-
-// handleAudit runs the server-side Definition-3 correctness check: does
-// the stored global log justify the claim V:κ? The provenance echoed
-// back is the observer's redacted view.
+// handleAudit decodes a Definition-3 claim V:κ — does the log justify
+// it? — and hands it to the backend. The provenance echoed back is the
+// observer's redacted view, and the observer is pinned to the caller's
+// grant here, before either backend sees the claim.
 func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 	var req AuditRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
@@ -424,43 +395,28 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 		s.clientError(w, fmt.Errorf("audit needs a value"))
 		return
 	}
-	if grant := grantFrom(r); grant != nil {
-		if !grant.CanRead() {
-			s.forbidRole(w, &s.auth.QueryRejects, grant, "read")
-			return
-		}
-		// An empty observer asks for no provenance echo at all — nothing
-		// to coerce; a named one is pinned to the grant's view.
-		if req.Observer != "" {
-			req.Observer = grant.CoerceObserver(req.Observer)
-		}
+	// An empty observer asks for no provenance echo at all — nothing
+	// to coerce; a named one is pinned to the grant's view.
+	observer := req.Observer
+	if !s.coerceRead(w, r, &observer) {
+		return
+	}
+	if req.Observer != "" {
+		req.Observer = observer
 	}
 	k, err := provOf(req.Prov, 0)
 	if err != nil {
 		s.clientError(w, err)
 		return
 	}
-	term := logs.NameT(req.Value)
-	if req.Value == "?" {
-		term = logs.UnknownT()
+	if err := s.b.audit(w, req, k); err != nil {
+		s.fail(w, err)
 	}
-	resp := AuditResponse{Correct: true}
-	if err := s.engine.AuditTerm(term, k); err != nil {
-		resp.Correct = false
-		resp.Detail = err.Error()
-	}
-	if req.Observer != "" {
-		resp.ProvView = eventDTOs(s.engine.ViewProv(k, req.Observer))
-	}
-	s.writeJSON(w, http.StatusOK, resp)
 }
 
 // handleCompact compacts one shard (?principal=name) or all shards.
 func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
-	if s.replica != nil {
-		// Compaction rewrites segments; on a replica the Replicator is
-		// the store's only writer, so route it to the leader too.
-		s.rejectWrite(w, r)
+	if s.b.refuseWrite(w, r) {
 		return
 	}
 	if grant := grantFrom(r); grant != nil && !grant.CanAppend() {
@@ -468,26 +424,18 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 		s.forbidRole(w, &s.auth.AppendRejects, grant, "append")
 		return
 	}
-	principal := r.URL.Query().Get("principal")
-	var err error
-	if principal == "" {
-		err = s.store.CompactAll()
-	} else {
-		err = s.store.Compact(principal)
-	}
-	if err != nil {
-		s.writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
+	if err := s.b.compact(r.URL.Query().Get("principal")); err != nil {
+		s.fail(w, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// handlePrincipals lists known shards through the engine's counts
-// snapshot, omitting principals that hide from the requesting
-// observer — the same existence fact the shard endpoint's 403
-// protects. Without pagination parameters the response is the
-// historical bare JSON array; ?limit= (or ?cursor=) switches to a
-// paginated object carrying per-principal record counts and a resume
+// handlePrincipals lists known shards, omitting principals that hide
+// from the requesting observer — the same existence fact the shard
+// endpoint's 403 protects. Without pagination parameters the response
+// is the historical bare JSON array; ?limit= (or ?cursor=) switches to
+// a paginated object carrying per-principal record counts and a resume
 // cursor.
 func (s *Server) handlePrincipals(w http.ResponseWriter, r *http.Request) {
 	v := r.URL.Query()
@@ -495,13 +443,17 @@ func (s *Server) handlePrincipals(w http.ResponseWriter, r *http.Request) {
 	if !s.coerceRead(w, r, &observer) {
 		return
 	}
-	visible := s.engine.VisibleCounts(observer).Principals
+	visible, err := s.b.principals(observer)
+	if err != nil {
+		s.fail(w, err)
+		return
+	}
 	if v.Get("limit") == "" && v.Get("cursor") == "" {
 		ps := make([]string, len(visible))
 		for i, pc := range visible {
 			ps[i] = pc.Principal
 		}
-		s.writeJSON(w, http.StatusOK, ps)
+		writeJSON(w, http.StatusOK, ps)
 		return
 	}
 	limit, err := query.ParseLimit(v.Get("limit"))
@@ -523,17 +475,11 @@ func (s *Server) handlePrincipals(w http.ResponseWriter, r *http.Request) {
 		s.clientError(w, fmt.Errorf("%w: unrecognised principals cursor", query.ErrBadCursor))
 		return
 	}
-	resp := PrincipalsResponse{Principals: make([]PrincipalDTO, 0, min(limit, len(visible)))}
-	for _, pc := range visible {
-		if len(resp.Principals) >= limit {
-			if len(resp.Principals) > 0 {
-				resp.Cursor = encodePrincipalCursor(resp.Principals[len(resp.Principals)-1].Principal)
-			}
-			break
-		}
-		resp.Principals = append(resp.Principals, PrincipalDTO{Principal: pc.Principal, Records: pc.Records})
+	resp := PrincipalsResponse{Principals: append([]PrincipalDTO{}, visible[:min(limit, len(visible))]...)}
+	if len(visible) > limit {
+		resp.Cursor = encodePrincipalCursor(visible[limit-1].Principal)
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // Principal-list cursors: the list is name-sorted, so "after this name"
@@ -556,49 +502,29 @@ func decodePrincipalCursor(s string) (string, bool) {
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	h := map[string]any{
 		"status":   "ok",
-		"role":     "leader",
-		"next_seq": s.store.NextSeq(),
 		"uptime_s": time.Since(s.started).Seconds(),
 	}
-	if s.replica != nil {
-		s.replicaHealth(h)
+	if epoch, leaders, ok := s.b.clusterMap(); ok {
+		h["epoch"], h["leaders"] = epoch, leaders
 	}
-	s.writeJSON(w, http.StatusOK, h)
+	s.b.health(h)
+	writeJSON(w, http.StatusOK, h)
 }
 
-// handleMetrics exposes store, engine and server counters in the
-// conventional one-gauge-per-line text form. Store sizes come from the
-// engine's lock-free Counts snapshot, so scraping never touches the
-// append path's stripe locks.
+// handleMetrics exposes the server's, the role's and the attached
+// listener's counters in the conventional one-gauge-per-line text
+// form. Partitioned roles add the map epoch and leader count, so an
+// operator can confirm a map rollout converged on every node.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	st := s.store.Stats()
-	qs := s.engine.Stats()
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintf(w, "provd_http_requests_total %d\n", s.requests.Load())
 	fmt.Fprintf(w, "provd_http_bad_requests_total %d\n", s.badReqs.Load())
-	fmt.Fprintf(w, "provd_redactions_total %d\n", qs.Redactions+qs.Denials)
-	fmt.Fprintf(w, "provd_query_pages_total %d\n", qs.Queries)
-	fmt.Fprintf(w, "provd_query_records_total %d\n", qs.Records)
-	fmt.Fprintf(w, "provd_query_denials_total %d\n", qs.Denials)
-	fmt.Fprintf(w, "provd_query_bad_cursors_total %d\n", qs.BadCursors)
 	fmt.Fprintf(w, "provd_uptime_seconds %.3f\n", time.Since(s.started).Seconds())
-	fmt.Fprintf(w, "provd_store_appends_total %d\n", st.Appends)
-	fmt.Fprintf(w, "provd_store_batch_appends_total %d\n", st.BatchAppends)
-	fmt.Fprintf(w, "provd_store_appended_bytes_total %d\n", st.AppendedBytes)
-	fmt.Fprintf(w, "provd_store_rotations_total %d\n", st.Rotations)
-	fmt.Fprintf(w, "provd_store_compactions_total %d\n", st.Compactions)
-	fmt.Fprintf(w, "provd_store_audits_total %d\n", st.Audits)
-	fmt.Fprintf(w, "provd_store_audit_failures_total %d\n", st.AuditFailures)
-	fmt.Fprintf(w, "provd_store_recovered_records_total %d\n", st.RecoveredRecords)
-	fmt.Fprintf(w, "provd_store_truncated_bytes_total %d\n", st.TruncatedBytes)
-	fmt.Fprintf(w, "provd_store_shard_cap_rejects_total %d\n", st.ShardCapRejects)
-	fmt.Fprintf(w, "provd_store_principals %d\n", st.Principals)
-	fmt.Fprintf(w, "provd_store_records %d\n", st.Records)
-	fmt.Fprintf(w, "provd_store_sessions %d\n", st.Sessions)
-	fmt.Fprintf(w, "provd_store_session_entries %d\n", st.SessionEntries)
-	fmt.Fprintf(w, "provd_store_session_compactions_total %d\n", st.SessionCompactions)
-	fmt.Fprintf(w, "provd_store_sessions_evicted_total %d\n", st.SessionsEvicted)
-	fmt.Fprintf(w, "provd_store_next_seq %d\n", st.NextSeq)
+	s.b.metrics(w)
+	if epoch, leaders, ok := s.b.clusterMap(); ok {
+		fmt.Fprintf(w, "provd_cluster_epoch %d\n", epoch)
+		fmt.Fprintf(w, "provd_cluster_leaders %d\n", leaders)
+	}
 	if s.ingest != nil {
 		in := s.ingest.Stats()
 		fmt.Fprintf(w, "provd_ingest_connections_total %d\n", in.Accepted)
@@ -632,8 +558,5 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "provd_auth_append_rejects_total %d\n", s.auth.AppendRejects.Load())
 		fmt.Fprintf(w, "provd_auth_query_rejects_total %d\n", s.auth.QueryRejects.Load())
 		fmt.Fprintf(w, "provd_auth_snapshot_rejects_total %d\n", s.auth.SnapshotRejects.Load())
-	}
-	if s.replica != nil {
-		s.replicaMetrics(w)
 	}
 }
